@@ -24,6 +24,7 @@ MagicServer::MagicServer(std::shared_ptr<Universe> universe,
   // the freeze line and every session rejects requests that use them.
   ctx_.frozen_preds = ctx_.universe->predicates().size();
   ctx_.max_request_frame = options_.max_request_frame;
+  ctx_.metrics = WireMetrics::Register(&service->metrics());
 }
 
 MagicServer::~MagicServer() { Stop(); }
@@ -114,13 +115,20 @@ void MagicServer::AcceptLoop() {
       if (stopping_.load()) return;
       continue;
     }
+    // Nagle goes off before anything is written, the rejection included.
+    SetNoDelay(fd);
     if (active_.load() >= options_.max_connections) {
-      WriteFrame(fd, std::string(WireCodeName(WireCode::kOverloaded)) +
-                         " too many connections");
+      std::string rejection =
+          std::string(WireCodeName(WireCode::kOverloaded)) +
+          " too many connections";
+      if (WriteFrame(fd, rejection)) {
+        ctx_.metrics.CountOut(1, kFrameHeaderBytes + rejection.size());
+      }
       ::close(fd);
       continue;
     }
     active_.fetch_add(1);
+    ctx_.metrics.connections->Add(1);
     uint64_t id;
     {
       MutexLock lock(sessions_mutex_);
@@ -138,6 +146,7 @@ void MagicServer::AcceptLoop() {
 void MagicServer::RunSession(uint64_t id, int fd) {
   Session session(fd, &ctx_);
   session.Run();
+  ctx_.metrics.connections->Add(-1);
   active_.fetch_sub(1);
   // close + finished flip together under the lock, so Stop() never
   // shutdown()s an fd number the kernel may have already reused.

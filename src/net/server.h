@@ -30,7 +30,9 @@ struct ServerOptions {
 /// each as a Session on its own thread (connections are long-lived and
 /// bounded by max_connections, so thread-per-connection is the right
 /// simplicity/latency trade here — the heavy lifting is already pooled
-/// inside QueryService).
+/// inside QueryService). Every accepted socket runs with TCP_NODELAY, and
+/// the layer's WireMetrics (connections, frames and bytes each way) are
+/// registered in the service's metrics registry.
 ///
 /// Lifecycle: construct over a live QueryService, Start() binds/listens
 /// and spawns the accept loop, Stop() (idempotent; the destructor calls

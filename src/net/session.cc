@@ -87,14 +87,13 @@ struct RequestOptions {
   }
 };
 
-/// Renders one answer tuple, tab-separated.
-std::string RenderTuple(const Universe& u, const std::vector<TermId>& tuple) {
-  std::string row;
-  for (TermId term : tuple) {
-    if (!row.empty()) row += "\t";
-    row += u.TermToString(term);
+/// Appends one answer tuple to `*out`, tab-separated.
+void AppendTuple(const Universe& u, const std::vector<TermId>& tuple,
+                 std::string* out) {
+  for (size_t i = 0; i < tuple.size(); ++i) {
+    if (i > 0) *out += '\t';
+    *out += u.TermToString(tuple[i]);
   }
-  return row;
 }
 
 /// The head line every answer response starts with.
@@ -126,12 +125,31 @@ void AppendProfileLines(const QueryAnswer& answer, std::string* out) {
 
 }  // namespace
 
+WireMetrics WireMetrics::Register(obs::MetricsRegistry* registry) {
+  WireMetrics m;
+  m.connections = registry->GetGauge("magicdb_connections", {},
+                                    "Wire connections being served");
+  m.frames_in = registry->GetCounter("magicdb_wire_frames_in", {},
+                                    "Request frames read off the wire");
+  m.frames_out = registry->GetCounter("magicdb_wire_frames_out", {},
+                                     "Response frames written to the wire");
+  m.bytes_in = registry->GetCounter(
+      "magicdb_wire_bytes_in", {},
+      "Request bytes read off the wire, length prefixes included");
+  m.bytes_out = registry->GetCounter(
+      "magicdb_wire_bytes_out", {},
+      "Response bytes written to the wire, length prefixes included");
+  return m;
+}
+
 void Session::Run() {
   std::string request;
   while (true) {
     FrameResult result = ReadFrame(fd_, ctx_->max_request_frame, &request);
     switch (result) {
       case FrameResult::kOk:
+        ctx_->metrics.frames_in->Add();
+        ctx_->metrics.bytes_in->Add(kFrameHeaderBytes + request.size());
         break;
       case FrameResult::kEof:
         return;  // clean disconnect on a frame boundary
@@ -336,11 +354,12 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
       response += answer.tuples.empty() ? "\nfalse" : "\ntrue";
     } else {
       for (const auto& tuple : answer.tuples) {
-        response += "\n" + RenderTuple(u, tuple);
+        response += '\n';
+        AppendTuple(u, tuple, &response);
       }
     }
     if (opts.profile) AppendProfileLines(answer, &response);
-    return WriteFrame(fd_, response);
+    return Send(response);
   }
 
   AnswerCursor cursor =
@@ -349,20 +368,29 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
           : ctx_->service->Stream(run_request_tier());
   constexpr size_t kChunk = 64;
   std::vector<std::vector<TermId>> chunk;
+  // Each chunk's row frames are encoded into one buffer and leave in one
+  // write; both buffers are reused across chunks.
+  std::string row;
+  std::string batch;
   size_t rows = 0;
   while (cursor.Next(kChunk, &chunk)) {
     rows += chunk.size();
     if (free_positions.empty()) continue;  // boolean: count only
+    batch.clear();
     for (const auto& tuple : chunk) {
-      if (!WriteFrame(fd_, "*" + RenderTuple(u, tuple))) {
-        // Client vanished mid-stream: cancel the evaluation so the worker
-        // stops deriving rows nobody reads, then end the session (Finish
-        // joins the evaluation, releasing its admission slot).
-        cursor.Cancel();
-        cursor.Finish();
-        return false;
-      }
+      row.assign(1, '*');
+      AppendTuple(u, tuple, &row);
+      AppendFrame(row, &batch);
     }
+    if (!WriteFrames(fd_, batch)) {
+      // Client vanished mid-stream: cancel the evaluation so the worker
+      // stops deriving rows nobody reads, then end the session (Finish
+      // joins the evaluation, releasing its admission slot).
+      cursor.Cancel();
+      cursor.Finish();
+      return false;
+    }
+    ctx_->metrics.CountOut(chunk.size(), batch.size());
   }
   const QueryAnswer& final_answer = cursor.Finish();
   WireCode code =
@@ -374,7 +402,7 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
                                 final_answer.from_cache);
   if (free_positions.empty()) head += rows == 0 ? "\nfalse" : "\ntrue";
   if (opts.profile) AppendProfileLines(final_answer, &head);
-  return WriteFrame(fd_, head);
+  return Send(head);
 }
 
 bool Session::HandleApply(const std::string& payload) {
@@ -439,7 +467,13 @@ bool Session::Reply(WireCode code, const std::string& text) {
     frame += " ";
     frame += text;
   }
-  return WriteFrame(fd_, frame);
+  return Send(frame);
+}
+
+bool Session::Send(std::string_view payload) {
+  if (!WriteFrame(fd_, payload)) return false;
+  ctx_->metrics.CountOut(1, kFrameHeaderBytes + payload.size());
+  return true;
 }
 
 }  // namespace net

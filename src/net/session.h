@@ -4,14 +4,36 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "engine/query_service.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 
 namespace magic {
 namespace net {
+
+/// The net layer's instruments, registered once per server in the
+/// service's one obs::MetricsRegistry. Every write is a relaxed atomic add
+/// with no clock read, so they stay on whether or not the service's
+/// latency observability is enabled.
+struct WireMetrics {
+  obs::Gauge* connections = nullptr;
+  obs::Counter* frames_in = nullptr;
+  obs::Counter* frames_out = nullptr;
+  obs::Counter* bytes_in = nullptr;
+  obs::Counter* bytes_out = nullptr;
+
+  static WireMetrics Register(obs::MetricsRegistry* registry);
+
+  /// Counts `frames` frames, `wire_bytes` in all, as sent.
+  void CountOut(size_t frames, size_t wire_bytes) const {
+    frames_out->Add(frames);
+    bytes_out->Add(wire_bytes);
+  }
+};
 
 /// Everything one connection needs from the process hosting the server.
 /// Shared by every session; all of it is either immutable for the server's
@@ -28,6 +50,7 @@ struct ServeContext {
   /// at or above this line are rejected (CheckFrozenPredicate).
   size_t frozen_preds = 0;
   size_t max_request_frame = kMaxRequestFrame;
+  WireMetrics metrics;
 };
 
 /// One connection's protocol state: the prepared forms it has named, fed
@@ -59,7 +82,8 @@ struct ServeContext {
 ///       Like QUERY but rows arrive as separate `*`-prefixed frames while
 ///       the fixpoint runs (derivation order, deduplicated, unsorted),
 ///       terminated by one `<Code> rows=<n> outcome=<o>` frame (which
-///       carries the `%` profile lines when profile=1 was given).
+///       carries the `%` profile lines when profile=1 was given). The
+///       server sends each chunk of up to 64 row frames in one write.
 ///   APPLY
 ///   <mutation-line>...
 ///       Applies the mutation lines (one per payload line after the verb
@@ -115,6 +139,9 @@ class Session {
   /// Single-frame response: `<code-name> <text>`. Returns false when the
   /// write failed (peer gone).
   bool Reply(WireCode code, const std::string& text);
+
+  /// Sends one frame and counts it. Returns false when the peer is gone.
+  bool Send(std::string_view payload);
 
   int fd_;
   const ServeContext* ctx_;

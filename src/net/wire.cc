@@ -1,7 +1,11 @@
 #include "net/wire.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 
@@ -27,18 +31,48 @@ ssize_t RecvAll(int fd, char* buf, size_t len) {
   return static_cast<ssize_t>(got);
 }
 
-bool SendAll(int fd, const char* buf, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    ssize_t n = ::send(fd, buf + sent, len - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
+/// Sends every byte the iovecs describe, in as few sendmsg calls as the
+/// kernel allows. A short write (a signal or a full send buffer cut the
+/// call short) resumes from the exact byte offset. `iov` is consumed in
+/// place.
+bool SendAll(int fd, iovec* iov, size_t count) {
+  while (true) {
+    while (count > 0 && iov->iov_len == 0) {
+      ++iov;
+      --count;
     }
+    if (count == 0) return true;
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0 && errno == EINTR) continue;
-    return false;
+    if (n <= 0) return false;
+    // Step past the bytes that left. The kernel never reports more than
+    // was asked for, so this stops inside (or at the end of) the last
+    // iovec; the emptied ones are skipped above.
+    auto sent = static_cast<size_t>(n);
+    while (sent > iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    iov->iov_base = static_cast<char*>(iov->iov_base) + sent;
+    iov->iov_len -= sent;
   }
-  return true;
+}
+
+iovec Iov(std::string_view bytes) {
+  return {const_cast<char*>(bytes.data()), bytes.size()};
+}
+
+using FrameHeader = std::array<char, kFrameHeaderBytes>;
+
+/// The 4-byte big-endian length prefix.
+FrameHeader EncodeHeader(size_t len) {
+  auto n = static_cast<uint32_t>(len);
+  return {static_cast<char>(n >> 24), static_cast<char>(n >> 16),
+          static_cast<char>(n >> 8), static_cast<char>(n)};
 }
 
 }  // namespace
@@ -66,11 +100,25 @@ FrameResult ReadFrame(int fd, size_t max_payload, std::string* out) {
 }
 
 bool WriteFrame(int fd, std::string_view payload) {
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  char header[4] = {static_cast<char>(len >> 24), static_cast<char>(len >> 16),
-                    static_cast<char>(len >> 8), static_cast<char>(len)};
-  if (!SendAll(fd, header, sizeof(header))) return false;
-  return SendAll(fd, payload.data(), payload.size());
+  FrameHeader header = EncodeHeader(payload.size());
+  iovec iov[2] = {Iov({header.data(), header.size()}), Iov(payload)};
+  return SendAll(fd, iov, 2);
+}
+
+void AppendFrame(std::string_view payload, std::string* out) {
+  FrameHeader header = EncodeHeader(payload.size());
+  out->append(header.data(), header.size());
+  out->append(payload);
+}
+
+bool WriteFrames(int fd, std::string_view frames) {
+  iovec iov = Iov(frames);
+  return SendAll(fd, &iov, 1);
+}
+
+void SetNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 namespace {

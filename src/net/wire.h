@@ -33,6 +33,9 @@ inline constexpr size_t kMaxRequestFrame = size_t{4} << 20;  // 4 MiB
 /// sets, so this is deliberately roomy.
 inline constexpr size_t kMaxReplyFrame = size_t{256} << 20;
 
+/// Bytes of the length prefix in front of every frame's payload.
+inline constexpr size_t kFrameHeaderBytes = 4;
+
 enum class FrameResult {
   kOk,         // *out holds one complete payload
   kEof,        // clean end of stream on a frame boundary
@@ -46,10 +49,27 @@ enum class FrameResult {
 /// longer be trusted to be on a frame boundary).
 FrameResult ReadFrame(int fd, size_t max_payload, std::string* out);
 
-/// Writes one frame (header + payload), handling short writes. Returns
-/// false on any transport error, including a peer that hung up (EPIPE is
-/// suppressed via MSG_NOSIGNAL; it reports as false, not a signal).
+/// Writes one frame: header and payload leave in one sendmsg (two
+/// iovecs), so a request or reply never splits into a small segment that
+/// Nagle holds back until the peer's delayed ACK. Short writes and EINTR
+/// resume from the exact byte offset. Returns false on any transport
+/// error, including a peer that hung up (EPIPE is suppressed via
+/// MSG_NOSIGNAL; it reports as false, not a signal).
 bool WriteFrame(int fd, std::string_view payload);
+
+/// Appends one encoded frame (header + payload) to `*out`, so several
+/// frames can be batched into one buffer and sent by WriteFrames.
+void AppendFrame(std::string_view payload, std::string* out);
+
+/// Sends a buffer of frames built by AppendFrame in one sendmsg, with the
+/// same short-write handling and error contract as WriteFrame.
+bool WriteFrames(int fd, std::string_view frames);
+
+/// Turns Nagle's algorithm off on a TCP socket: every frame is a complete
+/// request or reply, so holding it back for coalescing only adds a
+/// delayed-ACK stall to each round-trip. Best effort — a socket that
+/// refuses the option still speaks the protocol, only slower.
+void SetNoDelay(int fd);
 
 /// Thread-safe strerror for status messages: std::strerror formats into a
 /// shared static buffer (clang-tidy concurrency-mt-unsafe), and this layer

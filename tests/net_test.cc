@@ -1,16 +1,22 @@
 // The wire: the shared WireCode table, the frame layer, and a live
 // MagicServer end to end — prepare/query/stream/apply/stats/close, the
 // hostile-input paths (torn, oversized, garbage frames), mid-stream client
-// disconnect, deadlines, and concurrent clients reading under a live APPLY
-// writer. The suites are named Net* so the CI ThreadSanitizer leg picks
-// them up by regex.
+// disconnect, deadlines, concurrent clients reading under a live APPLY
+// writer, round-trip latency (no Nagle/delayed-ACK stall), short writes,
+// and the net layer's instruments. The suites are named Net* so the CI
+// ThreadSanitizer leg picks them up by regex.
 
 #include <arpa/inet.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -149,6 +155,83 @@ TEST_F(NetFramingTest, OversizedLengthPrefixReports) {
   std::string out;
   EXPECT_EQ(net::ReadFrame(fds_[0], net::kMaxRequestFrame, &out),
             FrameResult::kOversized);
+}
+
+void IgnoreSignal(int /*signo*/) {}
+
+/// Partial sends: a shrunk send buffer makes every large write block, and a
+/// signal storm (installed without SA_RESTART) cuts blocked sendmsg calls
+/// short or fails them with EINTR, so both the resume-from-offset and the
+/// retry paths run. Every payload must still arrive byte-exact and in
+/// order — a single-frame write (8 MiB) and then a batch of many small
+/// frames, some empty, sent as one buffer.
+TEST_F(NetFramingTest, ShortWritesResumeAtTheExactByteOffset) {
+  int sndbuf = 4096;
+  ASSERT_EQ(::setsockopt(fds_[1], SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         sizeof(sndbuf)),
+            0);
+
+  std::string big(size_t{8} << 20, '\0');
+  uint32_t x = 2463534242u;  // xorshift32: every byte value, no pattern
+  for (char& c : big) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    c = static_cast<char>(x);
+  }
+  std::vector<std::string> small;
+  std::string batch;
+  for (size_t i = 0; i < 4000; ++i) {
+    const char fill = static_cast<char>('a' + i % 26);
+    small.push_back(i % 50 == 0 ? std::string()
+                                : std::string(i % 97, fill) +
+                                      std::to_string(i));
+    net::AppendFrame(small.back(), &batch);
+  }
+
+  struct sigaction interrupt {};
+  interrupt.sa_handler = IgnoreSignal;
+  sigemptyset(&interrupt.sa_mask);
+  interrupt.sa_flags = 0;  // no SA_RESTART: blocked sends return early
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &interrupt, &previous), 0);
+
+  std::vector<std::string> got;
+  std::thread reader([&] {
+    std::string frame;
+    while (net::ReadFrame(fds_[0], big.size(), &frame) == FrameResult::kOk) {
+      got.push_back(frame);
+    }
+    // Corrupt framing stops the reader early; closing its end fails the
+    // writer (EPIPE) instead of leaving it blocked on a full buffer.
+    ::close(fds_[0]);
+    fds_[0] = -1;
+  });
+
+  std::atomic<bool> done{false};
+  bool big_ok = false;
+  bool batch_ok = false;
+  std::thread writer([&] {
+    big_ok = net::WriteFrame(fds_[1], big);
+    batch_ok = net::WriteFrames(fds_[1], batch);
+    done.store(true);
+  });
+  while (!done.load()) {
+    ::pthread_kill(writer.native_handle(), SIGUSR1);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  writer.join();
+  ASSERT_EQ(::sigaction(SIGUSR1, &previous, nullptr), 0);
+  CloseWriter();
+  reader.join();
+
+  EXPECT_TRUE(big_ok);
+  EXPECT_TRUE(batch_ok);
+  ASSERT_EQ(got.size(), 1 + small.size());
+  EXPECT_TRUE(got[0] == big) << "8 MiB payload corrupted";
+  for (size_t i = 0; i < small.size(); ++i) {
+    ASSERT_EQ(got[1 + i], small[i]) << "frame " << i;
+  }
 }
 
 // --- live server end to end -------------------------------------------------
@@ -390,6 +473,133 @@ TEST_F(NetServerStreamTest, MidStreamDisconnectCancelsAndReleasesTheSlot) {
   ASSERT_TRUE(query.ok());
   ASSERT_EQ(query->code, WireCode::kOk) << query->head;
   EXPECT_EQ(query->lines.size(), 5u);  // c396..c400
+}
+
+/// Round-trip latency on one loopback connection. Before TCP_NODELAY and
+/// one write per frame, each round-trip paid a Nagle/delayed-ACK stall
+/// (~88 ms), so 200 took ~17 s; the fixpoints here are warm or tiny, so
+/// anything near the bound is wire stall, not evaluation.
+class NetServerLatencyTest : public NetServerTest {
+ protected:
+  NetServerLatencyTest() : NetServerTest(/*chain=*/256) {}
+  static constexpr auto kBound = std::chrono::seconds(1);
+};
+
+TEST_F(NetServerLatencyTest, TwoHundredQueryRoundTripsTakeUnderOneSecond) {
+  StartServer();
+  MagicClient client = Connect();
+  ASSERT_EQ(client.Call("PREPARE anc anc(c0, Y)")->code, WireCode::kOk);
+  constexpr int kSeeds = 8;  // c248..c255: short answers, warmed below
+  for (int i = 0; i < kSeeds; ++i) {
+    ASSERT_EQ(client.Call("QUERY anc c" + std::to_string(248 + i))->code,
+              WireCode::kOk);
+  }
+  auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 200; ++i) {
+    const int node = 248 + i % kSeeds;
+    auto reply = client.Call("QUERY anc c" + std::to_string(node));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->code, WireCode::kOk) << reply->head;
+    ASSERT_EQ(reply->lines.size(), static_cast<size_t>(255 - node));
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kBound);
+}
+
+TEST_F(NetServerLatencyTest, StreamMatchesQueryRowsWithinTheBound) {
+  StartServer();
+  MagicClient client = Connect();
+  ASSERT_EQ(client.Call("PREPARE anc anc(c0, Y)")->code, WireCode::kOk);
+  // c0 streams 255 rows (four 64-row chunks); the rest cover partial
+  // chunks and a chunk boundary. Each answer is derived (and cached)
+  // before the clock starts, so the bound times the wire alone.
+  const std::vector<int> nodes = {0, 1, 64, 127, 191, 200, 250, 254};
+  for (int node : nodes) {
+    ASSERT_EQ(client.Call("QUERY anc c" + std::to_string(node))->code,
+              WireCode::kOk);
+  }
+  auto start = std::chrono::steady_clock::now();
+  for (int node : nodes) {
+    const std::string seed = "c" + std::to_string(node);
+    std::vector<std::string> streamed;
+    auto done = client.Stream("STREAM anc " + seed,
+                              [&](const std::string& row) {
+                                streamed.push_back(row);
+                                return true;
+                              });
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    ASSERT_EQ(done->code, WireCode::kOk) << done->head;
+    auto queried = client.Call("QUERY anc " + seed);
+    ASSERT_TRUE(queried.ok()) << queried.status().ToString();
+    ASSERT_EQ(queried->code, WireCode::kOk) << queried->head;
+    std::vector<std::string> expected = queried->lines;
+    std::sort(streamed.begin(), streamed.end());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(streamed, expected) << seed;
+    EXPECT_EQ(streamed.size(), static_cast<size_t>(255 - node)) << seed;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kBound);
+}
+
+/// The value on the exposition line `<name> <value>`, or "" if absent.
+std::string ScrapedValue(const std::string& text, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  size_t at = text.find(key);
+  if (at == std::string::npos) return "";
+  at += key.size();
+  return text.substr(at, text.find('\n', at) - at);
+}
+
+TEST_F(NetServerTest, WireInstrumentsCountFramesBytesAndConnections) {
+  StartServer();
+  uint64_t frames_in = 0;
+  uint64_t bytes_in = 0;
+  uint64_t frames_out = 0;
+  uint64_t bytes_out = 0;
+  std::string frame;
+  {
+    MagicClient client = Connect();
+    // Raw frames, so the test knows every byte that crossed the wire.
+    for (std::string_view request :
+         {"PREPARE anc anc(c3, Y)", "QUERY anc c3", "QUERY anc c9",
+          "STREAM anc c3", "NOT_A_VERB"}) {
+      ASSERT_TRUE(net::WriteFrame(client.fd(), request));
+      ++frames_in;
+      bytes_in += net::kFrameHeaderBytes + request.size();
+      do {  // a STREAM answers with `*` row frames, then its status frame
+        ASSERT_EQ(net::ReadFrame(client.fd(), net::kMaxReplyFrame, &frame),
+                  FrameResult::kOk);
+        ++frames_out;
+        bytes_out += net::kFrameHeaderBytes + frame.size();
+      } while (!frame.empty() && frame[0] == '*');
+    }
+    EXPECT_EQ(frames_out, 4u + 9u);  // STREAM anc c3: 8 rows + status
+
+    // The scrape is rendered after its own request frame is counted and
+    // before its reply is.
+    ASSERT_TRUE(net::WriteFrame(client.fd(), "METRICS"));
+    ++frames_in;
+    bytes_in += net::kFrameHeaderBytes + 7;
+    ASSERT_EQ(net::ReadFrame(client.fd(), net::kMaxReplyFrame, &frame),
+              FrameResult::kOk);
+    EXPECT_EQ(ScrapedValue(frame, "magicdb_connections"), "1");
+    EXPECT_EQ(ScrapedValue(frame, "magicdb_wire_frames_in_total"),
+              std::to_string(frames_in));
+    EXPECT_EQ(ScrapedValue(frame, "magicdb_wire_bytes_in_total"),
+              std::to_string(bytes_in));
+    EXPECT_EQ(ScrapedValue(frame, "magicdb_wire_frames_out_total"),
+              std::to_string(frames_out));
+    EXPECT_EQ(ScrapedValue(frame, "magicdb_wire_bytes_out_total"),
+              std::to_string(bytes_out));
+  }
+  // The client has hung up; its session notices EOF and leaves the gauge.
+  obs::Gauge* connections = service_->metrics().GetGauge("magicdb_connections");
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (connections->value() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(connections->value(), 0);
+  EXPECT_EQ(server_->active_connections(), 0u);
 }
 
 /// Abandoning a stream by predicate: the on_row callback returning false
